@@ -30,34 +30,38 @@ class DelayLine : public PacketSink {
  public:
   // Fixed extra delay.
   DelayLine(Simulator& sim, PacketSink& next, Time delay)
-      : DelayLine(sim, next, std::function<Time()>([delay] { return delay; })) {}
+      : sim_(sim), next_(next), delay_(delay) {
+    deliver_event_ = sim_.CreatePinned([this] { DeliverFront(); });
+  }
 
   // Stochastic extra delay: `sampler` is invoked once per packet. Note that
   // a stochastic stage can reorder packets, just like a real variable-latency
   // component.
   DelayLine(Simulator& sim, PacketSink& next, std::function<Time()> sampler)
-      : sim_(sim), next_(next), sampler_(std::move(sampler)) {
-    deliver_event_ = sim_.CreatePinned([this] { DeliverFront(); });
+      : DelayLine(sim, next, Time::Zero()) {
+    sampler_ = std::move(sampler);
   }
 
   ~DelayLine() override { sim_.DestroyPinned(deliver_event_); }
 
   void HandlePacket(std::unique_ptr<Packet> pkt) override {
+    const Time delay = sampler_ ? sampler_() : delay_;
     if (LegacyPerPacketEvents()) {
-      sim_.Schedule(sampler_(), [this, p = std::move(pkt)]() mutable {
+      sim_.Schedule(delay, [this, p = std::move(pkt)]() mutable {
         next_.HandlePacket(std::move(p));
       });
       return;
     }
     // Reserve the order stamp where the legacy path scheduled the event.
-    Push(Entry{sim_.Now() + sampler_(), sim_.ReserveOrder(), std::move(pkt)});
+    Push(Entry{sim_.Now() + delay, sim_.ReserveOrder(), std::move(pkt)});
   }
 
   // Runtime reconfiguration (dynamics scripts shift the delay distribution
   // mid-run). Applies to packets that arrive after the call; packets already
   // in flight keep the delay they were scheduled with.
   void SetDelay(Time delay) {
-    sampler_ = [delay] { return delay; };
+    delay_ = delay;
+    sampler_ = nullptr;
   }
   void SetSampler(std::function<Time()> sampler) {
     sampler_ = std::move(sampler);
@@ -85,7 +89,7 @@ class DelayLine : public PacketSink {
     const bool new_front = it == queue_.begin();
     queue_.insert(it, std::move(entry));
     if (new_front) {
-      if (sim_.PinnedArmed(deliver_event_)) sim_.CancelPinned(deliver_event_);
+      sim_.CancelPinned(deliver_event_);  // no-op when the line was empty
       sim_.SchedulePinnedAtOrdered(deliver_event_, queue_.front().deliver_at,
                                    queue_.front().order);
     }
@@ -103,6 +107,7 @@ class DelayLine : public PacketSink {
 
   Simulator& sim_;
   PacketSink& next_;
+  Time delay_;                     // used while no sampler is set
   std::function<Time()> sampler_;
   std::deque<Entry> queue_;
   PinnedEventId deliver_event_;

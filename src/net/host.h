@@ -4,15 +4,19 @@
 // netem-style extra egress delay that inflates the base RTT of all flows it
 // originates (§2.3), and an upper-layer protocol handler (normally a
 // TcpStack, registered by the transport library) that receives every packet
-// addressed to this host.
+// addressed to this host. The extra delay is a DelayLine stage in front of
+// the NIC, built on the first delayed send; while the delay is zero, sends
+// bypass it.
 #ifndef ECNSHARP_NET_HOST_H_
 #define ECNSHARP_NET_HOST_H_
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "net/delay_line.h"
 #include "net/egress_port.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -42,8 +46,10 @@ class Host : public PacketSink {
 
   // Extra one-way delay applied to every packet this host transmits
   // (emulates netem at the sender; inflates this host's flows' base RTT by
-  // exactly this amount since only the forward path is delayed).
-  void set_extra_egress_delay(Time delay) { extra_egress_delay_ = delay; }
+  // exactly this amount since only the forward path is delayed). A change
+  // applies to packets sent after it; packets already in the delay stage
+  // keep the delay they were sent with.
+  void set_extra_egress_delay(Time delay);
   Time extra_egress_delay() const { return extra_egress_delay_; }
 
   // Logical locality (host group / pod) annotated by the topology builder;
@@ -69,6 +75,9 @@ class Host : public PacketSink {
   std::uint32_t address_;
   std::unique_ptr<EgressPort> nic_;
   Time extra_egress_delay_ = Time::Zero();
+  // The delay stage and its exit into the NIC, built together.
+  std::optional<PortSink> nic_sink_;
+  std::unique_ptr<DelayLine> egress_delay_;
   std::uint32_t locality_id_ = 0;
   PacketSink* upper_ = nullptr;
 };

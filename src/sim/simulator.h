@@ -16,19 +16,22 @@
 // key, and the dispatcher always pops the global minimum across the two, so
 // the execution sequence is bit-identical to a single min-heap in either
 // mode — the wheel is purely a cache/complexity optimization: sift cost
-// scales with one bucket's occupancy, not the whole pending set; cancelled
-// far-horizon timers are reclaimed eagerly instead of rotting in the heap
-// body; and draining a same-timestamp train never re-heapifies the far
-// horizon (ExecuteBatch exposes that drain as an API).
+// scales with one bucket's occupancy, not the whole pending set, and
+// draining a same-timestamp train never re-heapifies the far horizon
+// (ExecuteBatch exposes that drain as an API). Cancelled entries are not
+// removed from the heaps; they are discarded when they surface at a top.
+// Protocol timers therefore do not cancel and re-push per restart:
+// sim/timer.h re-arms lazily, keeping one live entry per armed timer.
 //
 // The hot path is allocation- and hash-free: callbacks are stored in a
 // recycled slot array, the heaps order POD entries only, and cancellation is
 // an O(1) generation-tag bump (no hash-set bookkeeping). Recurring events
-// (egress serialization, wire arrivals) can be *pinned*: the callback is
-// registered once in chunk-stable storage and re-armed per occurrence, so a
-// million packet transmissions build zero closures. Slot, heap, and
-// free-list storage is recycled across Simulator instances on the same
-// thread, so the Nth experiment of a sweep pays no warm-up allocations.
+// (egress serialization, wire arrivals, delay stages, protocol timers) can
+// be *pinned*: the callback is registered once in chunk-stable storage and
+// re-armed per occurrence, so a million packet transmissions build zero
+// closures. Slot, heap, and free-list storage is recycled across Simulator
+// instances on the same thread, so the Nth experiment of a sweep pays no
+// warm-up allocations.
 #ifndef ECNSHARP_SIM_SIMULATOR_H_
 #define ECNSHARP_SIM_SIMULATOR_H_
 
@@ -184,8 +187,10 @@ class Simulator {
   static constexpr std::size_t kOccWords = kWheelBuckets / 64;
   // The wheel engages (stickily, for the Simulator's lifetime) once the
   // overflow heap first reaches this many entries. Small runs — unit tests,
-  // microbenches, the dumbbell loop — never reach it and keep the exact
-  // single-heap hot path; big runs flip early and stay engaged. Because both
+  // microbenches — never reach it and keep the exact single-heap hot path;
+  // big runs flip early and stay engaged. A workload of 4,096 or more flows
+  // engages it at TrafficGenerator::Start, which pre-schedules every flow
+  // arrival (the 8,000-flow benchmark dumbbell does). Because both
   // structures order by the same (when, order) key and every pop compares
   // the two tops, the executed sequence is identical in either mode, and
   // entries never migrate on engagement.

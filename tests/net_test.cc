@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/delay_line.h"
@@ -155,6 +156,82 @@ TEST(HostTest, ExtraEgressDelayAppliesToSends) {
   ASSERT_EQ(sink.count(), 1u);
   EXPECT_EQ(sink.arrival(0),
             Time::Microseconds(30) + Time::Nanoseconds(1200));
+}
+
+// A host's extra egress delay shortened mid-flight: packets sent before the
+// change keep the long delay, so later packets catch up with them and some
+// reach the NIC at the same instant. Marker events at those instants log how
+// many packets the NIC has taken, which pins how the deliveries interleave
+// with other same-instant events. Returns (time, sport or NIC count) pairs.
+struct HostDelayTrace {
+  std::vector<std::pair<Time, std::uint64_t>> arrivals;
+  std::vector<std::pair<Time, std::uint64_t>> markers;
+};
+
+HostDelayTrace RunShortenedHostDelay() {
+  Simulator sim;
+  CollectorSink sink(sim);
+  Host host(sim, 0);
+  auto nic = std::make_unique<EgressPort>(
+      sim, DataRate::GigabitsPerSecond(100), Time::Zero(), BigFifo());
+  nic->ConnectTo(sink);
+  host.AttachNic(std::move(nic));
+  host.set_extra_egress_delay(Time::Microseconds(50));
+  HostDelayTrace trace;
+  const auto marker = [&] {
+    trace.markers.emplace_back(sim.Now(),
+                               host.nic().queue_disc().stats().enqueued);
+  };
+  const auto send = [&](std::uint16_t sport) {
+    host.SendPacket(MakePacket(0, 1, 125, sport));
+  };
+  // Scheduled before any send: runs ahead of every 50 us delivery.
+  sim.ScheduleAt(Time::Microseconds(50), marker);
+  // Sports 1-3 leave at 0/1/2 us with 50 us of delay: due at 50/51/52 us.
+  for (std::uint16_t i = 0; i < 3; ++i) {
+    sim.ScheduleAt(Time::Microseconds(i), [&, i] { send(1 + i); });
+  }
+  sim.ScheduleAt(Time::Microseconds(3), [&] {
+    host.set_extra_egress_delay(Time::Microseconds(10));
+  });
+  // Sports 4-6 leave at 40/41/45 us with 10 us: due at 50/51/55 us, so 4
+  // and 5 tie with 1 and 2 and must follow them (later send order).
+  sim.ScheduleAt(Time::Microseconds(40), [&] {
+    send(4);
+    // Scheduled after sport 4's send: runs after both 50 us deliveries.
+    sim.ScheduleAt(Time::Microseconds(50), marker);
+  });
+  sim.ScheduleAt(Time::Microseconds(41), [&] { send(5); });
+  sim.ScheduleAt(Time::Microseconds(45), [&] { send(6); });
+  sim.Run();
+  for (std::size_t i = 0; i < sink.count(); ++i) {
+    trace.arrivals.emplace_back(sink.arrival(i), sink.packet(i).flow.src_port);
+  }
+  return trace;
+}
+
+TEST(HostTest, ShortenedEgressDelayDeliversInKeyOrder) {
+  const HostDelayTrace trace = RunShortenedHostDelay();
+  // 125 B at 100 Gb/s serializes in 10 ns; a tied packet queues behind.
+  const auto at = [](std::int64_t us, std::int64_t ns) {
+    return Time::Microseconds(us) + Time::Nanoseconds(ns);
+  };
+  const std::vector<std::pair<Time, std::uint64_t>> arrivals = {
+      {at(50, 10), 1}, {at(50, 20), 4}, {at(51, 10), 2},
+      {at(51, 20), 5}, {at(52, 10), 3}, {at(55, 10), 6}};
+  EXPECT_EQ(trace.arrivals, arrivals);
+  const std::vector<std::pair<Time, std::uint64_t>> markers = {
+      {Time::Microseconds(50), 0}, {Time::Microseconds(50), 2}};
+  EXPECT_EQ(trace.markers, markers);
+}
+
+TEST(HostTest, ShortenedEgressDelayIdenticalInLegacyEventMode) {
+  const HostDelayTrace staged = RunShortenedHostDelay();
+  LegacyPerPacketEvents() = true;
+  const HostDelayTrace legacy = RunShortenedHostDelay();
+  LegacyPerPacketEvents() = false;
+  EXPECT_EQ(staged.arrivals, legacy.arrivals);
+  EXPECT_EQ(staged.markers, legacy.markers);
 }
 
 TEST(SwitchTest, RoutesByDestination) {
